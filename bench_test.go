@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"flatnet/internal/bgpfeed"
 	"flatnet/internal/bgpsim"
 	"flatnet/internal/core"
 	"flatnet/internal/experiments"
@@ -287,6 +288,29 @@ func BenchmarkAblationAugmentation(b *testing.B) {
 
 // Micro-benchmarks of the core engine, for performance tracking rather than
 // paper reproduction.
+
+// BenchmarkFeedCollect times one BGP-feed table transfer from the vantage
+// points sec41 and ablation use. ns/origin is the per-prefix cost; U is the
+// VPs' provider closure, the part of the graph every origin's propagation
+// covers beyond its own up-cone (a deterministic work count).
+func BenchmarkFeedCollect(b *testing.B) {
+	e := benchEnv(b)
+	g := e.In2020.Graph
+	vps := experiments.FeedVPs(e.In2020)
+	roots := make([]int32, len(vps))
+	for i, v := range vps {
+		x, _ := g.Index(v)
+		roots[i] = int32(x)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bgpfeed.Collect(g, vps); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumASes()), "ns/origin")
+	b.ReportMetric(float64(bgpsim.NewVantage(g, roots).Size()), "U")
+}
 
 func BenchmarkPropagationSingleOrigin(b *testing.B) {
 	e := benchEnv(b)

@@ -13,14 +13,14 @@ package bgpfeed
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
+	"strconv"
 
 	"flatnet/internal/astopo"
 	"flatnet/internal/bgpsim"
+	"flatnet/internal/par"
 )
 
 // View is what the collectors see.
@@ -37,6 +37,10 @@ type View struct {
 
 // Collect runs one full table transfer: every AS originates a prefix, and
 // each VP contributes its best path (ties broken deterministically).
+//
+// A VP's path only reads routes on the origin's up-cone and on the VPs'
+// provider closure, so each origin runs on a bgpsim.Vantage rooted at the
+// VPs rather than a whole-graph propagation; the paths are identical.
 func Collect(g *astopo.Graph, vps []astopo.ASN) (*View, error) {
 	g.Freeze()
 	vpIdx := make([]int32, 0, len(vps))
@@ -50,45 +54,37 @@ func Collect(g *astopo.Graph, vps []astopo.ASN) (*View, error) {
 
 	origins := g.ASes()
 	perOrigin := make([][][]astopo.ASN, len(origins))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	var firstErr error
-	var errMu sync.Mutex
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sim := bgpsim.New(g)
-			for oi := range work {
-				res, err := sim.Run(bgpsim.Config{Origin: origins[oi], TrackNextHops: true})
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				var paths [][]astopo.ASN
-				for k, vi := range vpIdx {
-					if p := walkPath(g, res, vi, uint64(k)); p != nil {
-						paths = append(paths, p)
-					}
-				}
-				perOrigin[oi] = paths
+	err := par.For(runtime.GOMAXPROCS(0), len(origins), func(int) func(int) error {
+		van := bgpsim.NewVantage(g, vpIdx)
+		return func(oi int) error {
+			res, err := van.Run(origins[oi])
+			if err != nil {
+				return err
 			}
-		}()
+			var paths [][]astopo.ASN
+			for k, vi := range vpIdx {
+				if p := walkPath(g, res, vi, uint64(k)); p != nil {
+					paths = append(paths, p)
+				}
+			}
+			perOrigin[oi] = paths
+			return nil
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	for oi := range origins {
-		work <- oi
-	}
-	close(work)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
+	return assemble(g, vps, perOrigin)
+}
 
-	view := &View{VPs: vps}
+// assemble concatenates the per-origin paths in origin order and derives
+// the sorted set of links they use, labelled with their true relationship.
+func assemble(g *astopo.Graph, vps []astopo.ASN, perOrigin [][][]astopo.ASN) (*View, error) {
+	total := 0
+	for _, paths := range perOrigin {
+		total += len(paths)
+	}
+	view := &View{VPs: vps, Paths: make([][]astopo.ASN, 0, total)}
 	seen := make(map[[2]astopo.ASN]bool)
 	for _, paths := range perOrigin {
 		for _, p := range paths {
@@ -125,7 +121,7 @@ func Collect(g *astopo.Graph, vps []astopo.ASN) (*View, error) {
 }
 
 // walkPath extracts the VP's exported best path (VP..origin), breaking
-// next-hop ties with a per-VP hash.
+// next-hop ties with a per-VP hash seeded by walkSeed.
 func walkPath(g *astopo.Graph, res *bgpsim.Result, vp int32, salt uint64) []astopo.ASN {
 	if res.Class[vp] == bgpsim.ClassNone {
 		return nil
@@ -133,11 +129,10 @@ func walkPath(g *astopo.Graph, res *bgpsim.Result, vp int32, salt uint64) []asto
 	if vp == res.Origin {
 		return nil
 	}
-	path := []astopo.ASN{g.ASNAt(int(vp))}
+	path := make([]astopo.ASN, 1, 8)
+	path[0] = g.ASNAt(int(vp))
 	cur := vp
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%d", vp, res.Origin)
-	x := h.Sum64() + salt
+	x := walkSeed(vp, res.Origin) + salt
 	for cur != res.Origin {
 		hops := res.NextHops[cur]
 		if len(hops) == 0 {
@@ -151,6 +146,25 @@ func walkPath(g *astopo.Graph, res *bgpsim.Result, vp int32, salt uint64) []asto
 		}
 	}
 	return path
+}
+
+// walkSeed is the FNV-64a hash of "<vp>/<origin>" (dense indexes in
+// decimal), computed inline without fmt or hash.Hash allocations.
+func walkSeed(vp, origin int32) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	var buf [11]byte
+	for _, c := range strconv.AppendInt(buf[:0], int64(vp), 10) {
+		h = (h ^ uint64(c)) * prime64
+	}
+	h = (h ^ '/') * prime64
+	for _, c := range strconv.AppendInt(buf[:0], int64(origin), 10) {
+		h = (h ^ uint64(c)) * prime64
+	}
+	return h
 }
 
 // BuildGraph assembles the feed-visible topology ("the CAIDA dataset") from

@@ -1,11 +1,95 @@
 package bgpfeed
 
 import (
+	"fmt"
+	"hash/fnv"
+	"reflect"
 	"testing"
 
 	"flatnet/internal/astopo"
+	"flatnet/internal/bgpsim"
 	"flatnet/internal/topogen"
 )
+
+// collectReference is Collect's original formulation, kept as the oracle
+// for the vantage-restricted engine: one whole-graph tracked propagation
+// per origin, each walked from every VP.
+func collectReference(g *astopo.Graph, vps []astopo.ASN) (*View, error) {
+	g.Freeze()
+	vpIdx := make([]int32, 0, len(vps))
+	for _, v := range vps {
+		i, ok := g.Index(v)
+		if !ok {
+			return nil, fmt.Errorf("bgpfeed: VP AS%d not in graph", v)
+		}
+		vpIdx = append(vpIdx, int32(i))
+	}
+	origins := g.ASes()
+	perOrigin := make([][][]astopo.ASN, len(origins))
+	sim := bgpsim.New(g)
+	for oi, o := range origins {
+		res, err := sim.Run(bgpsim.Config{Origin: o, TrackNextHops: true})
+		if err != nil {
+			return nil, err
+		}
+		for k, vi := range vpIdx {
+			if p := walkPath(g, res, vi, uint64(k)); p != nil {
+				perOrigin[oi] = append(perOrigin[oi], p)
+			}
+		}
+	}
+	return assemble(g, vps, perOrigin)
+}
+
+// Collect must reproduce the whole-graph reference path for path, on
+// generated worlds of several seeds and scales and on random VP sets that
+// include stubs as well as transit networks.
+func TestCollectMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		scale float64
+		seed  int64
+		nVPs  int
+	}{
+		{0.005, 1, 5},
+		{0.008, 2, 25},
+		{0.01425, 20200901, 40},
+	} {
+		spec := topogen.Internet2020(tc.scale)
+		spec.Seed = tc.seed
+		in, err := topogen.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vps := SampleVPs(in.Graph.ASes(), tc.nVPs, tc.seed)
+		got, err := Collect(in.Graph, vps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := collectReference(in.Graph, vps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Paths) == 0 {
+			t.Fatalf("scale %g seed %d: reference collected no paths", tc.scale, tc.seed)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scale %g seed %d: Collect differs from the reference (%d vs %d paths, %d vs %d links)",
+				tc.scale, tc.seed, len(got.Paths), len(want.Paths), len(got.Links), len(want.Links))
+		}
+	}
+}
+
+// walkSeed hand-rolls FNV-64a over "<vp>/<origin>"; it must equal the
+// fmt/hash.Hash formulation every feed path was originally seeded with.
+func TestWalkSeedMatchesFNV(t *testing.T) {
+	for _, c := range [][2]int32{{0, 0}, {0, 1}, {7, 0}, {39, 6947}, {123456, 2147483647}, {2147483647, 2147483647}} {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d/%d", c[0], c[1])
+		if got, want := walkSeed(c[0], c[1]), h.Sum64(); got != want {
+			t.Fatalf("walkSeed(%d, %d) = %#x, fnv %#x", c[0], c[1], got, want)
+		}
+	}
+}
 
 func collectView(t testing.TB, scale float64, nVPs int) (*topogen.Internet, *View) {
 	t.Helper()

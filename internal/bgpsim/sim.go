@@ -258,12 +258,6 @@ type Simulator struct {
 	counts  []float64
 	reach   []float64
 	blocked []bool
-
-	// RunShared's reusable view Result: the [][]int32 next-hop headers are
-	// kept at high water across runs so steady-state tracked propagations
-	// allocate nothing.
-	shared *Result
-	nhView [][]int32
 }
 
 // New returns a Simulator for g. The graph is frozen by the call and must
@@ -349,58 +343,6 @@ func (s *Simulator) Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Leaker != 0 {
 		res.Flags = append([]uint8(nil), s.flags...)
-	}
-	return res, nil
-}
-
-// RunShared executes one propagation like Run but returns a Result that
-// aliases the Simulator's reusable buffers instead of copying them: Class,
-// Dist, and every NextHops span point into the Simulator's arenas and are
-// valid only until the next propagation on this Simulator. The [][]int32
-// next-hop header slice is kept at high water and reused across calls, so
-// steady-state tracked runs add no per-run allocations — the same pooling
-// discipline the propagation core applies to its masks. This is the fast
-// path for per-destination loops (trace synthesis) that fully consume one
-// Result before running the next.
-//
-// Leak configs need an owned Result (their no-route fallback re-enters Run);
-// they are rejected here — use Run.
-func (s *Simulator) RunShared(cfg Config) (*Result, error) {
-	if cfg.Leaker != 0 {
-		return nil, fmt.Errorf("bgpsim: RunShared does not support leak configs")
-	}
-	seeds, _, err := s.prepare(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if !s.propagate(seeds, cfg.Exclude, cfg.Locking, cfg.TrackNextHops, cfg.BreakTies) {
-		return nil, s.ctx.Err()
-	}
-	if s.shared == nil {
-		s.shared = &Result{Graph: s.g}
-	}
-	res := s.shared
-	res.Origin = seeds[0].idx
-	res.LeakerIdx = -1
-	res.Class = s.class
-	res.Dist = s.dist
-	res.Flags = nil
-	res.NextHops = nil
-	if cfg.TrackNextHops {
-		if cap(s.nhView) < s.n {
-			s.nhView = make([][]int32, s.n)
-		}
-		view := s.nhView[:s.n]
-		arena := s.nhArena
-		for i := range view {
-			if m := s.nhLen[i]; m > 0 {
-				o := s.nhOff[i]
-				view[i] = arena[o : o+m : o+m]
-			} else {
-				view[i] = nil
-			}
-		}
-		res.NextHops = view
 	}
 	return res, nil
 }

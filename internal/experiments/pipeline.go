@@ -14,8 +14,9 @@ import (
 // feedVPCount is the number of simulated route-collector vantage points.
 const feedVPCount = 40
 
-// feedView collects the BGP-feed-visible topology of a preset.
-func feedView(in *topogen.Internet) (*bgpfeed.View, error) {
+// FeedVPs returns the simulated route collectors' vantage points: 40
+// transit, Tier-2 and Tier-1 networks sampled with seed 11.
+func FeedVPs(in *topogen.Internet) []astopo.ASN {
 	var cands []astopo.ASN
 	for i, a := range in.Graph.ASes() {
 		switch in.ClassAt(i) {
@@ -23,7 +24,12 @@ func feedView(in *topogen.Internet) (*bgpfeed.View, error) {
 			cands = append(cands, a)
 		}
 	}
-	return bgpfeed.Collect(in.Graph, bgpfeed.SampleVPs(cands, feedVPCount, 11))
+	return bgpfeed.SampleVPs(cands, feedVPCount, 11)
+}
+
+// feedView collects the BGP-feed-visible topology of a preset.
+func feedView(in *topogen.Internet) (*bgpfeed.View, error) {
+	return bgpfeed.Collect(in.Graph, FeedVPs(in))
 }
 
 // Sec41Row compares BGP-feed-visible with combined (feed + traceroute)

@@ -158,9 +158,13 @@ func mustDataset(t *testing.T) core.Dataset {
 	return ds
 }
 
-// TestClusterWorkerDeathMidSweep kills one worker after its first shard
-// response. The coordinator must retry the lost shards on the healthy
-// peer and still produce the single-process answer — the golden
+// TestClusterWorkerDeathMidSweep kills one worker inside its first shard
+// request: the victim computes the shard, then the answer is lost to a
+// 500. Failing that first request, rather than some later one, keeps the
+// schedule deterministic: the victim always gets one, while a healthy peer
+// draining the queue in coalesced batches could leave it no second. The
+// coordinator must retry the lost shard on the healthy peer, demote the
+// victim, and still produce the single-process answer — the golden
 // equivalence under partial failure.
 func TestClusterWorkerDeathMidSweep(t *testing.T) {
 	coord, _ := startServer(t, func(c *Config) {
@@ -173,14 +177,16 @@ func TestClusterWorkerDeathMidSweep(t *testing.T) {
 	vh := victim.Handler()
 	var dead atomic.Bool
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == cluster.PathSweep && dead.CompareAndSwap(false, true) {
+			vh.ServeHTTP(httptest.NewRecorder(), r) // compute, then die
+			http.Error(w, "killed", http.StatusInternalServerError)
+			return
+		}
 		if dead.Load() {
 			http.Error(w, "killed", http.StatusInternalServerError)
 			return
 		}
 		vh.ServeHTTP(w, r)
-		if r.URL.Path == cluster.PathSweep {
-			dead.Store(true) // die right after the first shard response
-		}
 	}))
 	defer proxy.Close()
 	_, healthyURL := startServer(t, nil)

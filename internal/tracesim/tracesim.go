@@ -19,7 +19,12 @@
 // The per-destination propagation depends only on the destination, never on
 // the vantage point, so TraceAllMulti shares one tracked propagation per
 // destination across every cloud's VM set — the paper's four campaigns cost
-// one propagation sweep instead of four. TraceAllSerial preserves the
+// one propagation sweep instead of four. The walk reads next hops only at
+// the clouds and along the forwarding path, and asks of the clouds'
+// neighbors only whether they hold customer routes, so that propagation
+// runs on a bgpsim.Vantage rooted at the clouds: it computes the
+// destination's up-cone and the clouds' provider closure instead of the
+// whole graph, with identical routes there. TraceAllSerial preserves the
 // original one-cloud-at-a-time reference implementation (also reachable via
 // FLATNET_SERIAL_TRACES=1) as the baseline the cold-start benchmark
 // compares against.
@@ -204,17 +209,22 @@ func (e *Engine) TraceAllMulti(vmSets [][]VM) ([][][]Traceroute, error) {
 		}
 	}
 	// Build the per-city distance rows up front so the parallel section
-	// reads them lock-free.
+	// reads them lock-free, and root each worker's Vantage at the clouds
+	// (see the package doc).
+	var roots []int32
 	for _, vms := range vmSets {
 		for _, vm := range vms {
 			e.cityRow(vm.City)
+			if ci, ok := g.Index(vm.CloudASN); ok {
+				roots = append(roots, int32(ci))
+			}
 		}
 	}
 	err := par.For(runtime.GOMAXPROCS(0), len(dests), func(w int) func(i int) error {
-		sim := bgpsim.New(g)
+		van := bgpsim.NewVantage(g, roots)
 		return func(di int) error {
 			d := dests[di]
-			res, err := sim.RunShared(bgpsim.Config{Origin: d, TrackNextHops: true})
+			res, err := van.Run(d)
 			if err != nil {
 				return err
 			}
