@@ -92,10 +92,9 @@ func NewGraph(n, m int) *Graph {
 // FromLinks returns a graph over a pre-validated link slice, taking
 // ownership of it (the caller must not mutate it while the graph is in
 // use). Construction is O(1): the duplicate-detection pair index is built
-// lazily on the first mutation or HasLink query, so derived graphs that
-// are only frozen and propagated over (e.g. the sensitivity sweep's
-// degraded copies) never pay for it. Links must be valid and unique as if
-// added through AddLink.
+// lazily on the first mutation (or HasLink query before freezing), so
+// graphs that are only frozen and queried never pay for it. Links must be
+// valid and unique as if added through AddLink.
 func FromLinks(links []Link) *Graph {
 	return &Graph{links: links}
 }
@@ -240,7 +239,19 @@ func (g *Graph) AddPeerIfAbsent(a, b ASN) bool {
 // HasLink reports whether any link exists between a and b, and its
 // relationship from a's perspective: P2C means a is b's provider, C2P means
 // a is b's customer, P2P means they peer.
+//
+// On a frozen graph the answer is read from the CSR rows of the endpoint
+// with fewer neighbours, so no whole-graph pair index is built; graphs
+// still under construction use the pair index AddLink maintains anyway.
 func (g *Graph) HasLink(a, b ASN) (Rel, bool) {
+	if g.frozen {
+		i, okA := slices.BinarySearch(g.nodes, a)
+		j, okB := slices.BinarySearch(g.nodes, b)
+		if !okA || !okB {
+			return 0, false
+		}
+		return g.relBetween(i, j)
+	}
 	if g.NumLinks() == 0 {
 		return 0, false
 	}
@@ -263,6 +274,29 @@ func (g *Graph) HasLink(a, b ASN) (Rel, bool) {
 		return P2C, true
 	}
 	return C2P, true
+}
+
+// relBetween is HasLink over the dense indexes of a frozen graph. It scans
+// the rows of the endpoint with the smaller degree.
+func (g *Graph) relBetween(i, j int) (Rel, bool) {
+	if g.degreeAt(j) < g.degreeAt(i) {
+		rel, ok := g.relBetween(j, i)
+		return -rel, ok // P2C and C2P are negations; P2P is 0
+	}
+	x := int32(j)
+	switch {
+	case slices.Contains(g.arena[g.provOff[i]:g.provOff[i+1]], x):
+		return C2P, true
+	case slices.Contains(g.arena[g.custOff[i]:g.custOff[i+1]], x):
+		return P2C, true
+	case slices.Contains(g.arena[g.peerOff[i]:g.peerOff[i+1]], x):
+		return P2P, true
+	}
+	return 0, false
+}
+
+func (g *Graph) degreeAt(i int) int32 {
+	return g.provOff[i+1] - g.provOff[i] + g.custOff[i+1] - g.custOff[i] + g.peerOff[i+1] - g.peerOff[i]
 }
 
 // Clone returns a deep copy of the graph. The copy is unfrozen; its pair

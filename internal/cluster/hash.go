@@ -25,16 +25,27 @@ import (
 func DatasetHash(g *astopo.Graph, tier1, tier2 astopo.ASSet) string {
 	f := g.Frozen()
 	h := sha256.New()
-	var scratch [8]byte
+	// Words are appended to one 64 KiB buffer that is written whenever it
+	// fills: the digest is that of the same byte stream, without a Write
+	// call per 4-byte word.
+	buf := make([]byte, 0, 64<<10)
+	flush := func() {
+		h.Write(buf)
+		buf = buf[:0]
+	}
 	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		h.Write(scratch[:4])
+		if len(buf)+4 > cap(buf) {
+			flush()
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, v)
 	}
 	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		h.Write(scratch[:8])
+		if len(buf)+8 > cap(buf) {
+			flush()
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
-	h.Write([]byte("flatnet-world-v1"))
+	buf = append(buf, "flatnet-world-v1"...)
 	u64(uint64(len(f.Nodes)))
 	u64(uint64(len(f.LinkA)))
 	for _, a := range f.Nodes {
@@ -61,5 +72,6 @@ func DatasetHash(g *astopo.Graph, tier1, tier2 astopo.ASSet) string {
 			u32(uint32(a))
 		}
 	}
+	flush()
 	return fmt.Sprintf("%x", h.Sum(nil))
 }

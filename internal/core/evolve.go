@@ -81,7 +81,9 @@ type EvolveStats struct {
 // Full and ProviderFree, whose base masks exclude nothing, and typically
 // the case when a well-connected transit gains a customer — the engine
 // falls back to a plain full sweep, which stays the golden path: the
-// result is exact, never approximate, in both modes. Incremental wins are
+// result is exact, never approximate, in both modes. The fallback fires
+// the moment the growing region passes half, so a bulk step does not pay
+// for the scouts of its remaining links first. Incremental wins are
 // for link churn (IXP peering flaps, the flat Internet's native motion);
 // bulk growth steps that add thousands of ASes re-sweep, correctly.
 func EvolveCounts(ctx context.Context, prev, next *Metrics, kind Kind, prevCounts []int, d EvolveDelta) ([]int, EvolveStats, error) {
@@ -137,10 +139,21 @@ func EvolveCounts(ctx context.Context, prev, next *Metrics, kind Kind, prevCount
 		return fullSweep("kind has no base exclusions")
 	}
 
+	// nDirty counts the marks as they land. The region only grows, so
+	// the moment it passes half the graph the fallback below is certain
+	// and the remaining bounds (each possibly a scout propagation) are
+	// skipped.
 	dirty := make([]bool, n)
+	nDirty := 0
+	setDirty := func(i int) {
+		if !dirty[i] {
+			dirty[i] = true
+			nDirty++
+		}
+	}
 	markASN := func(a astopo.ASN) {
 		if i, ok := ng.Index(a); ok {
-			dirty[i] = true
+			setDirty(i)
 		}
 	}
 	for a := range next.ds.Tier1 {
@@ -154,7 +167,33 @@ func EvolveCounts(ctx context.Context, prev, next *Metrics, kind Kind, prevCount
 		if !ok {
 			return nil, EvolveStats{}, fmt.Errorf("core: new AS %d not in next world", a)
 		}
-		dirty[i] = true
+		setDirty(i)
+	}
+	// Every changed link's endpoints are validated before any bounding,
+	// so a mismatched delta fails the same way however early the bounding
+	// stops.
+	linkIn := func(g *astopo.Graph, l astopo.Link) bool {
+		_, aok := g.Index(l.A)
+		_, bok := g.Index(l.B)
+		return aok && bok
+	}
+	for _, l := range d.RemovedLinks {
+		if !linkIn(pg, l) {
+			return nil, EvolveStats{}, fmt.Errorf("core: removed link %d-%d not in previous world", l.A, l.B)
+		}
+	}
+	for _, l := range d.AddedLinks {
+		if !linkIn(ng, l) {
+			return nil, EvolveStats{}, fmt.Errorf("core: added link %d-%d not in next world", l.A, l.B)
+		}
+	}
+	tooDirty := func() bool { return nDirty*2 > n }
+	earlyFallback := func(bounded int) ([]int, EvolveStats, error) {
+		return fullSweep(fmt.Sprintf("dirty region passed %d/%d after bounding %d of %d changed links",
+			nDirty, n, bounded, len(d.RemovedLinks)+len(d.AddedLinks)))
+	}
+	if tooDirty() {
+		return earlyFallback(0)
 	}
 
 	// Bound the changed links. Marks land in next-world dense indexes;
@@ -163,7 +202,7 @@ func EvolveCounts(ctx context.Context, prev, next *Metrics, kind Kind, prevCount
 		if onPrev {
 			markASN(m.ds.Graph.ASNAt(i))
 		} else {
-			dirty[i] = true
+			setDirty(i)
 		}
 	}
 	// coneMark walks the masked customer cone of start: every origin with
@@ -233,14 +272,8 @@ func EvolveCounts(ctx context.Context, prev, next *Metrics, kind Kind, prevCount
 		if rel == astopo.C2P {
 			pa, pb, rel = pb, pa, astopo.P2C
 		}
-		ai, aok := g.Index(pa)
-		bi, bok := g.Index(pb)
-		if !aok || !bok {
-			if onPrev {
-				return fmt.Errorf("core: removed link %d-%d not in previous world", l.A, l.B)
-			}
-			return fmt.Errorf("core: added link %d-%d not in next world", l.A, l.B)
-		}
+		ai, _ := g.Index(pa)
+		bi, _ := g.Index(pb)
 		markASN(pa)
 		markASN(pb)
 		base := m.baseMask[kind]
@@ -261,14 +294,20 @@ func EvolveCounts(ctx context.Context, prev, next *Metrics, kind Kind, prevCount
 		}
 		return nil
 	}
-	for _, l := range d.RemovedLinks {
+	for k, l := range d.RemovedLinks {
 		if err := boundLink(prev, l, true); err != nil {
 			return nil, EvolveStats{}, err
 		}
+		if tooDirty() {
+			return earlyFallback(k + 1)
+		}
 	}
-	for _, l := range d.AddedLinks {
+	for k, l := range d.AddedLinks {
 		if err := boundLink(next, l, false); err != nil {
 			return nil, EvolveStats{}, err
+		}
+		if tooDirty() {
+			return earlyFallback(len(d.RemovedLinks) + k + 1)
 		}
 	}
 
@@ -284,7 +323,7 @@ func EvolveCounts(ctx context.Context, prev, next *Metrics, kind Kind, prevCount
 				// Present in next but not prev and not declared new:
 				// the delta is inconsistent with the graphs. Treat as
 				// dirty rather than guessing a carried value.
-				dirty[i] = true
+				setDirty(i)
 			} else {
 				out[i] = prevCounts[j]
 				continue

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flatnet/internal/astopo"
+	"flatnet/internal/topogen"
 )
 
 // mutateDataset derives a "next" world from prev by removing and adding
@@ -122,6 +123,9 @@ func TestEvolveCountsMatchesFullSweep(t *testing.T) {
 			if !stats.FullSweep {
 				if stats.Dirty+stats.Carried != stats.Origins {
 					t.Fatalf("seed %d kind %v: stats don't partition: %+v", seed, kind, stats)
+				}
+				if stats.Dirty*2 > stats.Origins {
+					t.Fatalf("seed %d kind %v: carried with a dirty region over half: %+v", seed, kind, stats)
 				}
 				carried += stats.Carried
 			}
@@ -241,5 +245,76 @@ func TestEvolveCountsFailsClosed(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("fallback mismatch at %d: %d != %d", i, got[i], want[i])
 		}
+	}
+}
+
+// TestEvolveCountsGrowthStepStopsEarly: a timeline growth step dirties
+// most of the world, so the engine must give up on bounding as soon as
+// the region passes half — fewer scout propagations than the step has
+// unmasked transit links — and still return exactly a full sweep.
+func TestEvolveCountsGrowthStepStopsEarly(t *testing.T) {
+	ctx := context.Background()
+	const scale = 0.012
+	prevIn, err := topogen.GenerateYear(2018, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gd, err := topogen.EvolveStep(prevIn, 2019, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextIn, err := topogen.ApplyDelta(prevIn, gd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := EvolveDelta{AddedLinks: gd.AddedLinks, RemovedLinks: gd.RemovedLinks}
+	for _, na := range gd.NewASes {
+		delta.NewASes = append(delta.NewASes, na.ASN)
+	}
+	prevM := New(Dataset{Graph: prevIn.Graph, Tier1: prevIn.Tier1, Tier2: prevIn.Tier2})
+	nextM := New(Dataset{Graph: nextIn.Graph, Tier1: nextIn.Tier1, Tier2: nextIn.Tier2})
+	prevCounts, err := prevM.ReachabilityRangeCtx(ctx, HierarchyFree, 0, prevIn.Graph.NumASes(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := EvolveCounts(ctx, prevM, nextM, HierarchyFree, prevCounts, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := nextIn.Graph.NumASes()
+	want, err := nextM.ReachabilityRangeCtx(ctx, HierarchyFree, 0, n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("origin AS%d: evolved %d != fresh %d", nextIn.Graph.ASNAt(i), got[i], want[i])
+		}
+	}
+	if !stats.FullSweep || stats.Dirty != n || stats.Origins != n {
+		t.Fatalf("growth step should fall back to a full sweep: %+v", stats)
+	}
+	// Every transit link with an unmasked provider costs a scout when all
+	// links are bounded.
+	scoutable := 0
+	count := func(m *Metrics, links []astopo.Link) {
+		for _, l := range links {
+			if i, ok := m.ds.Graph.Index(l.A); ok && l.Rel == astopo.P2C && !m.baseMask[HierarchyFree][i] {
+				scoutable++
+			}
+		}
+	}
+	count(prevM, delta.RemovedLinks)
+	count(nextM, delta.AddedLinks)
+	if stats.Scouts >= scoutable {
+		t.Fatalf("ran %d scouts, no fewer than the %d a full bounding pass runs", stats.Scouts, scoutable)
+	}
+	t.Logf("%d scouts of %d (%s)", stats.Scouts, scoutable, stats.Reason)
+
+	// A bad link after the stopping point must still fail the call.
+	bad := delta
+	bad.AddedLinks = append(append([]astopo.Link(nil), delta.AddedLinks...), astopo.Link{A: 9999998, B: 9999999, Rel: astopo.P2P})
+	if _, _, err := EvolveCounts(ctx, prevM, nextM, HierarchyFree, prevCounts, bad); err == nil {
+		t.Fatal("an added link outside the next world must fail even after an early fallback")
 	}
 }

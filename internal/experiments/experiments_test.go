@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -448,8 +449,7 @@ func TestHierarchyFreeReachMatchesCore(t *testing.T) {
 		for i := 0; i < len(peers)/2; i++ {
 			drop[peers[perm[i]]] = true
 		}
-		buf := degradedLinks(nil, links, asn, drop)
-		g := astopo.FromLinks(buf)
+		g := astopo.FromLinks(degradedLinks(nil, links, asn, drop))
 		got, err := hierarchyFreeReach(g, asn, in.Tier1, in.Tier2, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", cloud, err)
@@ -461,6 +461,53 @@ func TestHierarchyFreeReachMatchesCore(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s: direct mask reach %d != core.New reach %d", cloud, got, want)
+		}
+	}
+}
+
+// degradedLinks appends to dst the topology's links minus the given AS's
+// peer links to the dropped neighbors: the from-scratch definition of a
+// sensitivity degraded graph.
+func degradedLinks(dst, links []astopo.Link, asn astopo.ASN, drop map[astopo.ASN]bool) []astopo.Link {
+	for _, l := range links {
+		if l.Rel == astopo.P2P && ((l.A == asn && drop[l.B]) || (l.B == asn && drop[l.A])) {
+			continue
+		}
+		dst = append(dst, l)
+	}
+	return dst
+}
+
+// Every degraded graph the sensitivity sweep splices must equal the graph
+// frozen from the filtered link list, down to the frozen arrays.
+func TestSensitivitySpliceMatchesRebuild(t *testing.T) {
+	in := getEnv(t).In2020
+	links := in.Graph.Links()
+	for _, cloud := range Clouds() {
+		asn := in.Clouds[cloud]
+		peers := in.Graph.Peers(asn)
+		perm := rand.New(rand.NewSource(int64(asn))).Perm(len(peers))
+		drop := make(map[astopo.ASN]bool, len(peers))
+		var hidden []astopo.Link
+		for _, frac := range sensitivityFractions[1:] {
+			for cut := int(frac * float64(len(peers))); len(drop) < cut; {
+				p := peers[perm[len(drop)]]
+				drop[p] = true
+				for _, l := range links {
+					if l.Rel == astopo.P2P && (l.A == asn && l.B == p || l.B == asn && l.A == p) {
+						hidden = append(hidden, l)
+					}
+				}
+			}
+			got, err := in.Graph.Splice(hidden, nil)
+			if err != nil {
+				t.Fatalf("%s at %.0f%%: %v", cloud, 100*frac, err)
+			}
+			want := astopo.FromLinks(degradedLinks(nil, links, asn, drop))
+			want.Freeze()
+			if !reflect.DeepEqual(got.Frozen(), want.Frozen()) {
+				t.Fatalf("%s at %.0f%%: spliced graph differs from the rebuilt one", cloud, 100*frac)
+			}
 		}
 	}
 }

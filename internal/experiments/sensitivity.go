@@ -32,49 +32,63 @@ var sensitivityFractions = []float64{0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9}
 // implies.
 //
 // The inner loop is a single-origin propagation (one cloud per degraded
-// graph), so the bit-parallel all-AS engine does not apply; the cost is
-// instead kept down by reusing one sweep context — the hoisted link slice,
-// one degraded-link buffer, one exclusion-mask buffer, and one nested drop
-// set per cloud — across every (cloud, fraction) pair rather than
-// rebuilding them each time. Degraded pairs skip core.New entirely: the
-// hierarchy-free mask (Tier-1s, Tier-2s, and the cloud's providers, cloud
-// itself unmasked) is composed directly on the reused buffer and fed to a
-// bare simulator over the degraded graph. The frac=0 row bypasses the
+// graph), so the bit-parallel all-AS engine does not apply. Each degraded
+// graph is the 2020 graph spliced (astopo.Graph.Splice) to drop the
+// cloud's hidden peer links: the frozen arrays are patched rather than
+// the whole world refrozen, and the result is identical to freezing the
+// filtered link list from scratch. Degraded pairs skip core.New entirely:
+// the hierarchy-free mask (Tier-1s, Tier-2s, and the cloud's providers,
+// cloud itself unmasked) is composed directly on one reused buffer and fed
+// to a bare simulator over the degraded graph. The frac=0 row bypasses the
 // rebuild entirely and reuses the headline env.M2020: it MUST equal the
 // Fig. 2 hierarchy-free metric (the sensitivityBaseline invariant the
 // tests pin), and sharing the Metrics makes that equality structural.
 func Sensitivity(env *Env) ([]SensitivityRow, error) {
 	in := env.In2020
-	links := in.Graph.Links()
-	// Degraded-link and mask scratch shared by every rebuilt graph; each
-	// graph is discarded before the buffers' next reuse.
-	buf := make([]astopo.Link, 0, len(links))
+	// One columnar view of the 2020 graph serves as every splice's base,
+	// so its link columns are laid out once, not per degraded copy.
+	f := in.Graph.Frozen()
+	base, err := astopo.FromFrozen(f)
+	if err != nil {
+		return nil, err
+	}
 	mask := make([]bool, in.Graph.NumASes())
 	var rows []SensitivityRow
 	for _, cloud := range Clouds() {
 		asn := in.Clouds[cloud]
 		peers := in.Graph.Peers(asn)
+		peerLink := make(map[astopo.ASN]astopo.Link, len(peers))
+		for k, rel := range f.LinkRel {
+			l := astopo.Link{A: f.LinkA[k], B: f.LinkB[k], Rel: rel}
+			switch {
+			case rel != astopo.P2P:
+			case l.A == asn:
+				peerLink[l.B] = l
+			case l.B == asn:
+				peerLink[l.A] = l
+			}
+		}
 		// One permutation per cloud so removal sets nest: a higher miss
 		// fraction always removes a superset, making the sweep monotone
-		// by construction. The drop set grows incrementally with the
+		// by construction. The removal list grows incrementally with the
 		// fraction instead of being rebuilt per pair.
 		rng := rand.New(rand.NewSource(int64(asn)))
 		perm := rng.Perm(len(peers))
-		drop := make(map[astopo.ASN]bool, len(peers))
-		dropped := 0
+		var hidden []astopo.Link
 		for _, frac := range sensitivityFractions {
-			for cut := int(frac * float64(len(peers))); dropped < cut; dropped++ {
-				drop[peers[perm[dropped]]] = true
+			for cut := int(frac * float64(len(peers))); len(hidden) < cut; {
+				hidden = append(hidden, peerLink[peers[perm[len(hidden)]]])
 			}
 			var n int
-			var err error
 			var total float64
-			if dropped == 0 {
+			if len(hidden) == 0 {
 				n, err = env.M2020.Reachability(asn, core.HierarchyFree)
 				total = float64(in.Graph.NumASes() - 1)
 			} else {
-				buf = degradedLinks(buf[:0], links, asn, drop)
-				g := astopo.FromLinks(buf)
+				var g *astopo.Graph
+				if g, err = base.Splice(hidden, nil); err != nil {
+					return nil, err
+				}
 				n, err = hierarchyFreeReach(g, asn, in.Tier1, in.Tier2, mask)
 				total = float64(g.NumASes() - 1)
 			}
@@ -125,18 +139,6 @@ func hierarchyFreeReach(g *astopo.Graph, origin astopo.ASN, tier1, tier2 astopo.
 		}
 	}
 	return bgpsim.New(g).ReachabilityCount(bgpsim.Config{Origin: origin, Exclude: mask})
-}
-
-// degradedLinks appends to dst the topology's links minus the given AS's
-// peer links to the dropped neighbors.
-func degradedLinks(dst, links []astopo.Link, asn astopo.ASN, drop map[astopo.ASN]bool) []astopo.Link {
-	for _, l := range links {
-		if l.Rel == astopo.P2P && ((l.A == asn && drop[l.B]) || (l.B == asn && drop[l.A])) {
-			continue
-		}
-		dst = append(dst, l)
-	}
-	return dst
 }
 
 func runSensitivity(env *Env, w io.Writer) error {

@@ -283,8 +283,26 @@ func TestClusterMixedWireVersions(t *testing.T) {
 	coord, coordURL := startServer(t, func(c *Config) {
 		c.Cluster = cluster.PoolConfig{ShardBlocks: 1}
 	})
-	w1, w1URL := startServer(t, nil)
-	joinWorker(t, coordURL, w1, w1URL)
+	// The modern worker holds its first shard until the legacy worker has
+	// been sent one. Left free, it can drain the whole queue in coalesced
+	// batches before the legacy worker pulls, and the JSON path goes
+	// unexercised; the timeout only bounds a dispatcher that never asks
+	// the legacy worker, which the JSONShards check below then reports.
+	legacyAsked := make(chan struct{})
+	var legacyOnce sync.Once
+	w1, _ := startServer(t, nil)
+	w1h := w1.Handler()
+	gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == cluster.PathSweep {
+			select {
+			case <-legacyAsked:
+			case <-time.After(5 * time.Second):
+			}
+		}
+		w1h.ServeHTTP(w, r)
+	}))
+	defer gate.Close()
+	joinWorker(t, coordURL, w1, gate.URL)
 
 	legacy, err := New(Config{Dataset: mustDataset(t), Names: genIn.NameOf})
 	if err != nil {
@@ -292,6 +310,9 @@ func TestClusterMixedWireVersions(t *testing.T) {
 	}
 	lh := legacy.Handler()
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == cluster.PathSweep {
+			legacyOnce.Do(func() { close(legacyAsked) })
+		}
 		r.Header.Del("Accept")
 		lh.ServeHTTP(w, r)
 	}))

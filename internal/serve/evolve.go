@@ -15,7 +15,6 @@ import (
 	"io"
 	"net/http"
 
-	"flatnet/internal/cluster"
 	"flatnet/internal/core"
 	"flatnet/internal/snapshot"
 	"flatnet/internal/topogen"
@@ -90,14 +89,6 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 			Message: fmt.Sprintf("applying delta %d→%d: %v", d.FromYear, d.ToYear, err)})
 		return
 	}
-	nextID := cluster.DatasetHash(next.Graph, next.Tier1, next.Tier2)
-	if nextID != d.ResultHash {
-		// Fail closed: the delta promised a world it did not produce. The
-		// served world is untouched.
-		s.writeError(w, &apiError{Status: http.StatusUnprocessableEntity, Code: "result_mismatch",
-			Message: fmt.Sprintf("applied delta produced world %.12s…, but the delta promised %.12s…", nextID, d.ResultHash)})
-		return
-	}
 	ds := core.Dataset{Graph: next.Graph, Tier1: next.Tier1, Tier2: next.Tier2}
 	// The evolved world exists only in memory, so it advertises freshly
 	// encoded snapshot bytes: workers re-join by syncing those, exactly as
@@ -110,7 +101,16 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 		})
 		return buf.Bytes(), err
 	}
+	// Building the state hashes the new world once; that hash is the one
+	// checked against the delta's promise.
 	nextWS := newWorldState(ds, next.NameOf, next, d.ToYear, "", snapGen)
+	if nextWS.id != d.ResultHash {
+		// Fail closed: the delta promised a world it did not produce. The
+		// served world is untouched.
+		s.writeError(w, &apiError{Status: http.StatusUnprocessableEntity, Code: "result_mismatch",
+			Message: fmt.Sprintf("applied delta produced world %.12s…, but the delta promised %.12s…", nextWS.id, d.ResultHash)})
+		return
+	}
 	// Rotate the pool first, then publish: a fan-out admitted on the old
 	// world either finds its workers already dropped (and falls back
 	// locally, where verifyWorld discards the result) or completes on

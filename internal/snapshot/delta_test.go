@@ -2,15 +2,19 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"flatnet/internal/astopo"
 	"flatnet/internal/cluster"
 	"flatnet/internal/topogen"
+	"flatnet/internal/topogen/topogentest"
 )
 
 const deltaTestScale = 0.012
@@ -18,12 +22,16 @@ const deltaTestScale = 0.012
 // buildDelta generates an adjacent-year pair and the Delta connecting
 // them, with real world hashes.
 func buildDelta(t testing.TB) (*topogen.Internet, *Delta) {
+	return buildDeltaAt(t, deltaTestScale)
+}
+
+func buildDeltaAt(t testing.TB, scale float64) (*topogen.Internet, *Delta) {
 	t.Helper()
-	base, err := topogen.GenerateYear(2016, deltaTestScale)
+	base, err := topogen.GenerateYear(2016, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := topogen.EvolveStep(base, 2017, deltaTestScale)
+	g, err := topogen.EvolveStep(base, 2017, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +199,91 @@ func FuzzDeltaDecode(f *testing.F) {
 		}
 		if info, err := ReadInfo(bytes.NewReader(b)); err == nil && info == nil {
 			t.Fatal("ReadInfo returned neither info nor error")
+		}
+	})
+}
+
+// resealDelta recomputes a delta file's section length and checksums, so
+// fuzzed payload bytes get past the integrity checks and reach the payload
+// decoder and the applier.
+func resealDelta(b []byte) []byte {
+	headerEnd := v2HeaderLen + v2EntryLen + 4
+	if len(b) < headerEnd {
+		return b
+	}
+	b = bytes.Clone(b)
+	ent := b[v2HeaderLen:]
+	if off := binary.LittleEndian.Uint64(ent[8:]); off <= uint64(len(b)) {
+		binary.LittleEndian.PutUint64(ent[16:], uint64(len(b))-off)
+		binary.LittleEndian.PutUint32(ent[24:], crc32.ChecksumIEEE(b[off:]))
+	}
+	binary.LittleEndian.PutUint32(b[headerEnd-4:], crc32.ChecksumIEEE(b[:headerEnd-4]))
+	return b
+}
+
+// FuzzApplyDelta drives hostile delta bodies through decode and apply onto
+// a small fixed world. Applying must never panic, and any world it
+// produces must equal the one the from-scratch reference builds. The seeds
+// are a valid growth step and the fail-closed shapes of
+// topogen.TestApplyDeltaFailsClosed. The world is kept tiny (166 ASes) so
+// an exec that applies costs well under a millisecond and the fuzzer's
+// input minimization stays quick.
+func FuzzApplyDelta(f *testing.F) {
+	base, d := buildDeltaAt(f, 0.003)
+	seed := func(edit func(g *topogen.GrowthDelta)) {
+		g := *d.Growth
+		g.RemovedLinks = append([]astopo.Link(nil), g.RemovedLinks...)
+		g.AddedLinks = append([]astopo.Link(nil), g.AddedLinks...)
+		g.IXPJoins = append([]topogen.IXPJoin(nil), g.IXPJoins...)
+		edit(&g)
+		dd := *d
+		dd.FromYear, dd.ToYear, dd.Growth = g.FromYear, g.ToYear, &g
+		f.Add(encodeDeltaBytes(f, &dd))
+	}
+	seed(func(*topogen.GrowthDelta) {})
+	seed(func(g *topogen.GrowthDelta) { g.FromYear, g.ToYear = 2017, 2018 })
+	seed(func(g *topogen.GrowthDelta) {
+		g.RemovedLinks = append(g.RemovedLinks, astopo.Link{A: 1, B: 2, Rel: astopo.P2P})
+	})
+	seed(func(g *topogen.GrowthDelta) { g.RemovedLinks = append(g.RemovedLinks, g.RemovedLinks[0]) })
+	seed(func(g *topogen.GrowthDelta) { g.AddedLinks = append(g.AddedLinks, base.Graph.Links()[0]) })
+	seed(func(g *topogen.GrowthDelta) {
+		l := g.AddedLinks[0]
+		g.AddedLinks = append(g.AddedLinks, astopo.Link{A: l.B, B: l.A, Rel: astopo.P2P})
+	})
+	seed(func(g *topogen.GrowthDelta) {
+		g.AddedLinks = append(g.AddedLinks, astopo.Link{A: 15169, B: 15169, Rel: astopo.P2P})
+	})
+	seed(func(g *topogen.GrowthDelta) {
+		g.AddedLinks = append(g.AddedLinks, astopo.Link{A: 15169, B: 4000000000, Rel: astopo.C2P})
+	})
+	seed(func(g *topogen.GrowthDelta) {
+		g.IXPJoins = append(g.IXPJoins, topogen.IXPJoin{IXP: int32(len(base.IXPs)), Member: 15169})
+	})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dd, err := DecodeDelta(resealDelta(b))
+		if err != nil {
+			return
+		}
+		got, err := topogen.ApplyDelta(base, dd.Growth)
+		if err != nil {
+			return
+		}
+		want, err := topogentest.ApplyDeltaReference(base, dd.Growth)
+		if err != nil {
+			t.Fatalf("ApplyDelta accepted a delta the reference rejects: %v", err)
+		}
+		if !reflect.DeepEqual(got.Graph.Frozen(), want.Graph.Frozen()) {
+			t.Fatal("applied graph differs from the reference")
+		}
+		if !reflect.DeepEqual(got.Graph.Links(), want.Graph.Links()) {
+			t.Fatal("applied link list differs from the reference")
+		}
+		if !reflect.DeepEqual(got.Meta, want.Meta) {
+			t.Fatal("applied annotations differ from the reference")
+		}
+		if !reflect.DeepEqual(got.IXPs, want.IXPs) {
+			t.Fatal("applied IXPs differ from the reference")
 		}
 	})
 }

@@ -970,9 +970,15 @@ func (r *Reader) Close() error {
 // readInfoV2 labels the sections of a v2 stream whose fixed header has
 // already been consumed. It streams forward without validating CRCs.
 func readInfoV2(r io.Reader, info *Info, nsect int) (*Info, error) {
-	table := make([]byte, v2EntryLen*nsect+4)
-	if _, err := io.ReadFull(r, table); err != nil {
+	// The section count is untrusted: read the table through a limit so a
+	// corrupt count fails at end of input instead of allocating for it.
+	want := int64(v2EntryLen)*int64(nsect) + 4
+	table, err := io.ReadAll(io.LimitReader(r, want))
+	if err != nil {
 		return nil, fmt.Errorf("snapshot: reading section table: %w", err)
+	}
+	if int64(len(table)) != want {
+		return nil, fmt.Errorf("snapshot: reading section table: %w", io.ErrUnexpectedEOF)
 	}
 	entries := make([]v2entry, nsect)
 	for i := range entries {

@@ -13,8 +13,10 @@
 package topogen
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -812,12 +814,14 @@ func (e *evolver) growCloudPeering() {
 
 // ApplyDelta applies a growth delta to its base world, producing the next
 // year's world. The application is purely structural (no randomness): the
-// base link list minus the removals, plus the additions, refrozen; the
-// annotation table extended with the new ASes; the IXP memberships
-// extended. It fails closed — a removal that does not match a base link,
-// an addition that already exists, or an out-of-range IXP index is an
-// error, not a silent skip — so a corrupted or mispaired delta can never
-// produce a silently wrong world.
+// base graph spliced — removals dropped, additions appended, frozen arrays
+// patched in place of a full refreeze (astopo.Graph.Splice) — the
+// annotation table merged with the new ASes, the IXP memberships
+// extended. It fails closed — a removal listed twice or not matching a
+// base link, an addition listed twice, already present, a self link or
+// with an invalid relationship, or an out-of-range IXP index is an error,
+// not a silent skip — so a corrupted or mispaired delta can never produce
+// a silently wrong world.
 func ApplyDelta(prev *Internet, d *GrowthDelta) (*Internet, error) {
 	fromYear, err := specYear(prev.Spec)
 	if err != nil {
@@ -833,60 +837,9 @@ func ApplyDelta(prev *Internet, d *GrowthDelta) (*Internet, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	removed := make(map[astopo.Link]bool, len(d.RemovedLinks))
-	for _, l := range d.RemovedLinks {
-		removed[l] = true
-	}
-	if len(removed) != len(d.RemovedLinks) {
-		return nil, fmt.Errorf("topogen: delta %d->%d lists a removed link twice", d.FromYear, d.ToYear)
-	}
-	prevLinks := prev.Graph.Links()
-	links := make([]astopo.Link, 0, len(prevLinks)-len(d.RemovedLinks)+len(d.AddedLinks))
-	have := make(map[[2]astopo.ASN]bool, len(prevLinks)+len(d.AddedLinks))
-	dropped := 0
-	for _, l := range prevLinks {
-		if removed[l] {
-			dropped++
-			continue
-		}
-		links = append(links, l)
-		have[pairKey(l.A, l.B)] = true
-	}
-	if dropped != len(d.RemovedLinks) {
-		return nil, fmt.Errorf("topogen: delta %d->%d removes %d links but only %d matched the base world",
-			d.FromYear, d.ToYear, len(d.RemovedLinks), dropped)
-	}
-	for _, l := range d.AddedLinks {
-		k := pairKey(l.A, l.B)
-		if have[k] {
-			return nil, fmt.Errorf("topogen: delta %d->%d adds link %d-%d that already exists", d.FromYear, d.ToYear, l.A, l.B)
-		}
-		have[k] = true
-		links = append(links, l)
-	}
-	g := astopo.FromLinks(links)
-	g.Freeze()
-
-	// Annotations: the base world's, extended with the new ASes.
-	pm := prev.Meta
-	class := make(map[astopo.ASN]ASClass, g.NumASes())
-	name := make(map[astopo.ASN]string)
-	home := make(map[astopo.ASN]geo.CityID, g.NumASes())
-	pops := make(map[astopo.ASN][]geo.CityID)
-	for i, a := range prev.Graph.ASes() {
-		class[a] = pm.Class[i]
-		home[a] = pm.Home[i]
-		if pm.NameOff[i] != pm.NameOff[i+1] {
-			name[a] = string(pm.NameBlob[pm.NameOff[i]:pm.NameOff[i+1]])
-		}
-		if ps := pm.PoPArena[pm.PoPOff[i]:pm.PoPOff[i+1]]; len(ps) > 0 {
-			pops[a] = ps
-		}
-	}
-	for _, na := range d.NewASes {
-		class[na.ASN] = na.Class
-		home[na.ASN] = na.Home
+	g, err := prev.Graph.Splice(d.RemovedLinks, d.AddedLinks)
+	if err != nil {
+		return nil, fmt.Errorf("topogen: delta %d->%d: %w", d.FromYear, d.ToYear, err)
 	}
 
 	ixps := make([]IXP, len(prev.IXPs), len(prev.IXPs)+len(d.NewIXPs))
@@ -913,6 +866,7 @@ func ApplyDelta(prev *Internet, d *GrowthDelta) (*Internet, error) {
 		Clouds:      make(map[string]astopo.ASN, len(prev.Clouds)),
 		Hypergiants: make(map[string]astopo.ASN, len(prev.Hypergiants)),
 		IXPs:        ixps,
+		Meta:        mergeMeta(prev.Graph.ASes(), prev.Meta, g.ASes(), d.NewASes),
 	}
 	for a := range prev.Tier1 {
 		in.Tier1.Add(a)
@@ -926,8 +880,48 @@ func ApplyDelta(prev *Internet, d *GrowthDelta) (*Internet, error) {
 	for n, a := range prev.Hypergiants {
 		in.Hypergiants[n] = a
 	}
-	in.Meta = NewASMeta(g, class, name, home, pops)
 	return in, nil
+}
+
+// mergeMeta builds the annotation table of an evolved graph (sorted node
+// list nodes) by one merge over the base graph's nodes and annotations and
+// the new ASes: a surviving AS keeps its base annotations, a new AS gets
+// its class and home city (the last listing wins if an ASN is listed
+// twice, and a listing overrides a base AS's class and home), and an AS
+// in neither gets zero values. ASes without links are not in nodes and
+// drop out.
+func mergeMeta(prevNodes []astopo.ASN, pm *ASMeta, nodes []astopo.ASN, newASes []NewAS) *ASMeta {
+	fresh := slices.Clone(newASes)
+	slices.SortStableFunc(fresh, func(x, y NewAS) int { return cmp.Compare(x.ASN, y.ASN) })
+	n := len(nodes)
+	m := &ASMeta{
+		Class:    make([]ASClass, n),
+		Home:     make([]geo.CityID, n),
+		PoPOff:   make([]int32, n+1),
+		PoPArena: make([]geo.CityID, 0, len(pm.PoPArena)),
+		NameOff:  make([]int32, n+1),
+		NameBlob: make([]byte, 0, len(pm.NameBlob)),
+	}
+	i, k := 0, 0
+	for x, a := range nodes {
+		for i < len(prevNodes) && prevNodes[i] < a {
+			i++
+		}
+		if i < len(prevNodes) && prevNodes[i] == a {
+			m.Class[x], m.Home[x] = pm.Class[i], pm.Home[i]
+			m.PoPArena = append(m.PoPArena, pm.PoPArena[pm.PoPOff[i]:pm.PoPOff[i+1]]...)
+			m.NameBlob = append(m.NameBlob, pm.NameBlob[pm.NameOff[i]:pm.NameOff[i+1]]...)
+		}
+		for k < len(fresh) && fresh[k].ASN < a {
+			k++
+		}
+		for ; k < len(fresh) && fresh[k].ASN == a; k++ {
+			m.Class[x], m.Home[x] = fresh[k].Class, fresh[k].Home
+		}
+		m.PoPOff[x+1] = int32(len(m.PoPArena))
+		m.NameOff[x+1] = int32(len(m.NameBlob))
+	}
+	return m
 }
 
 // GenerateYear builds the timeline world for one year: the 2015 base

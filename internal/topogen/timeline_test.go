@@ -7,6 +7,7 @@ import (
 	"flatnet/internal/astopo"
 	"flatnet/internal/cluster"
 	"flatnet/internal/topogen"
+	"flatnet/internal/topogen/topogentest"
 )
 
 // timelineTestScale keeps the fold fast while leaving every class and
@@ -169,6 +170,114 @@ func TestAdjacentYearsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaMatchesReference diffs the spliced apply against the
+// refreeze-from-scratch definition for every adjacent year pair: same
+// world hash, frozen arrays, link list, annotations and IXPs.
+func TestApplyDeltaMatchesReference(t *testing.T) {
+	in, err := topogen.GenerateYear(2015, timelineTestScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for y := 2016; y <= 2025; y++ {
+		d, err := topogen.EvolveStep(in, y, timelineTestScale)
+		if err != nil {
+			t.Fatalf("year %d: %v", y, err)
+		}
+		got, err := topogen.ApplyDelta(in, d)
+		if err != nil {
+			t.Fatalf("year %d: %v", y, err)
+		}
+		want, err := topogentest.ApplyDeltaReference(in, d)
+		if err != nil {
+			t.Fatalf("year %d: reference: %v", y, err)
+		}
+		if gh, wh := worldHash(got), worldHash(want); gh != wh {
+			t.Fatalf("year %d: spliced world hash %s != reference %s", y, gh[:16], wh[:16])
+		}
+		if !reflect.DeepEqual(got.Graph.Frozen(), want.Graph.Frozen()) {
+			t.Fatalf("year %d: spliced graph arrays differ from the reference", y)
+		}
+		if !reflect.DeepEqual(got.Graph.Links(), want.Graph.Links()) {
+			t.Fatalf("year %d: spliced link list differs from the reference", y)
+		}
+		if !reflect.DeepEqual(got.Meta, want.Meta) {
+			t.Fatalf("year %d: merged annotations differ from the reference", y)
+		}
+		if !reflect.DeepEqual(got.IXPs, want.IXPs) {
+			t.Fatalf("year %d: IXPs differ from the reference", y)
+		}
+		if !reflect.DeepEqual(got.Spec, want.Spec) || !reflect.DeepEqual(got.Tier1, want.Tier1) ||
+			!reflect.DeepEqual(got.Tier2, want.Tier2) || !reflect.DeepEqual(got.Clouds, want.Clouds) ||
+			!reflect.DeepEqual(got.Hypergiants, want.Hypergiants) {
+			t.Fatalf("year %d: spec or named sets differ from the reference", y)
+		}
+		in = got
+	}
+}
+
+// TestApplyDeltaMetaMerge covers the annotation merge's corner cases
+// against the reference: a new AS listed twice (last listing wins), a
+// listing that re-annotates a base AS, an endpoint annotated by nobody,
+// and a base AS that loses its last link.
+func TestApplyDeltaMetaMerge(t *testing.T) {
+	base, err := topogen.GenerateYear(2016, timelineTestScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := topogen.EvolveStep(base, 2017, timelineTestScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := base.Graph.ASes()
+	named := nodes[0] // a named network: its name and PoPs must survive
+	var stub astopo.ASN
+	for _, a := range nodes {
+		if base.Graph.Degree(a) == 1 && a > named {
+			stub = a
+			break
+		}
+	}
+	if stub == 0 {
+		t.Fatal("no single-homed AS in the base world")
+	}
+	var stubLink astopo.Link
+	for _, l := range base.Graph.Links() {
+		if l.A == stub || l.B == stub {
+			stubLink = l
+		}
+	}
+	e := *d
+	e.RemovedLinks = append(append([]astopo.Link(nil), d.RemovedLinks...), stubLink)
+	e.AddedLinks = append(append([]astopo.Link(nil), d.AddedLinks...),
+		astopo.Link{A: named, B: 4000000001, Rel: astopo.P2C},
+		astopo.Link{A: named, B: 4000000002, Rel: astopo.P2P})
+	e.NewASes = append(append([]topogen.NewAS(nil), d.NewASes...),
+		topogen.NewAS{ASN: 4000000001, Class: topogen.ClassAccess, Home: 3},
+		topogen.NewAS{ASN: named, Class: topogen.ClassContent, Home: 5},
+		topogen.NewAS{ASN: 4000000001, Class: topogen.ClassEnterprise, Home: 7},
+		topogen.NewAS{ASN: 4000000003, Class: topogen.ClassAccess, Home: 9})
+	got, err := topogen.ApplyDelta(base, &e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := topogentest.ApplyDeltaReference(base, &e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := got.Graph.Index(stub); ok {
+		t.Fatalf("AS%d kept after losing its last link", stub)
+	}
+	if !reflect.DeepEqual(got.Meta, want.Meta) {
+		t.Fatal("merged annotations differ from the reference")
+	}
+	if got.ClassOf(4000000001) != topogen.ClassEnterprise || got.ClassOf(named) != topogen.ClassContent {
+		t.Fatal("NewAS listings did not override in order")
+	}
+	if got.NameOf(named) != base.NameOf(named) {
+		t.Fatalf("AS%d lost its name: %q", named, got.NameOf(named))
+	}
+}
+
 // TestTimelineWorldsAuditClean: every evolved year remains a structurally
 // sound topology — no provider cycles, no islands, clique intact, every
 // new AS reachable through at least one provider.
@@ -243,6 +352,35 @@ func TestApplyDeltaFailsClosed(t *testing.T) {
 		d.AddedLinks = append(d.AddedLinks, base.Graph.Links()[0])
 		if _, err := topogen.ApplyDelta(base, d); err == nil {
 			t.Fatal("want error for addition that already exists")
+		}
+	})
+	t.Run("removal listed twice", func(t *testing.T) {
+		d := copyDelta()
+		d.RemovedLinks = append(d.RemovedLinks, d.RemovedLinks[0])
+		if _, err := topogen.ApplyDelta(base, d); err == nil {
+			t.Fatal("want error for a duplicate removal")
+		}
+	})
+	t.Run("addition listed twice", func(t *testing.T) {
+		d := copyDelta()
+		l := d.AddedLinks[0]
+		d.AddedLinks = append(d.AddedLinks, astopo.Link{A: l.B, B: l.A, Rel: astopo.P2P})
+		if _, err := topogen.ApplyDelta(base, d); err == nil {
+			t.Fatal("want error for an addition listed twice")
+		}
+	})
+	t.Run("self link", func(t *testing.T) {
+		d := copyDelta()
+		d.AddedLinks = append(d.AddedLinks, astopo.Link{A: 15169, B: 15169, Rel: astopo.P2P})
+		if _, err := topogen.ApplyDelta(base, d); err == nil {
+			t.Fatal("want error for a self link")
+		}
+	})
+	t.Run("invalid relationship", func(t *testing.T) {
+		d := copyDelta()
+		d.AddedLinks = append(d.AddedLinks, astopo.Link{A: 15169, B: 4000000000, Rel: astopo.C2P})
+		if _, err := topogen.ApplyDelta(base, d); err == nil {
+			t.Fatal("want error for an addition stored as c2p")
 		}
 	})
 	t.Run("IXP index out of range", func(t *testing.T) {

@@ -49,6 +49,12 @@ echo "==> delta decoder fuzz (5s)"
 # fail-closed decoder gets its own hostile-input pass.
 go test -run '^$' -fuzz 'FuzzDeltaDecode' -fuzztime 5s ./internal/snapshot/
 
+echo "==> delta apply fuzz (5s)"
+# Decoded delta bodies go on through topogen.ApplyDelta onto a small fixed
+# world: applying must never panic, and every world it accepts must equal
+# the from-scratch reference's.
+go test -run '^$' -fuzz 'FuzzApplyDelta' -fuzztime 5s ./internal/snapshot/
+
 echo "==> cluster wire decoder fuzz (5s)"
 # The binary sweep/leak frames cross the network on every cluster shard;
 # the decoders must reject truncation, corruption, bad magic/version, and
@@ -56,7 +62,7 @@ echo "==> cluster wire decoder fuzz (5s)"
 go test -run '^$' -fuzz 'FuzzWireDecode' -fuzztime 5s ./internal/cluster/
 
 echo "==> benchmark smoke (1 iteration)"
-go test -bench 'BenchmarkLeakSweep|BenchmarkLeakTrialsBatch|BenchmarkPropagateNoAlloc|BenchmarkPropagationSingleOrigin|BenchmarkReachabilityAll|BenchmarkClassIndexBuild|BenchmarkTable1TopReachability|BenchmarkEnvColdStart$|BenchmarkSnapshotLoad|BenchmarkEvolveDelta$|BenchmarkTimelineSeries|BenchmarkWireCounts|BenchmarkFeedCollect|BenchmarkSec41PeerVisibility|BenchmarkAblationAugmentation' \
+go test -bench 'BenchmarkLeakSweep|BenchmarkLeakTrialsBatch|BenchmarkPropagateNoAlloc|BenchmarkPropagationSingleOrigin|BenchmarkReachabilityAll|BenchmarkClassIndexBuild|BenchmarkTable1TopReachability|BenchmarkEnvColdStart$|BenchmarkSnapshotLoad|BenchmarkEvolveDelta$|BenchmarkTimelineSeries|BenchmarkApplyDelta$|BenchmarkSensitivity$|BenchmarkWireCounts|BenchmarkFeedCollect|BenchmarkSec41PeerVisibility|BenchmarkAblationAugmentation' \
     -benchtime 1x -benchmem -run '^$' .
 
 echo "==> snapshot build/load smoke"

@@ -135,3 +135,29 @@ func BenchmarkTimelineSeries(b *testing.B) {
 	}
 	reportNsPerAS(b, nASes)
 }
+
+// BenchmarkApplyDelta times one growth step's structural apply (2019 ->
+// 2020) at the benchmark scale: splicing the frozen graph, merging the
+// annotation table, extending the IXPs. ns/link normalises by the new
+// world's link count.
+func BenchmarkApplyDelta(b *testing.B) {
+	prev, err := topogen.GenerateYear(2019, benchScale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := topogen.EvolveStep(prev, 2020, benchScale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var links int
+	for i := 0; i < b.N; i++ {
+		next, err := topogen.ApplyDelta(prev, d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		links = next.Graph.NumLinks()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(links), "ns/link")
+}
